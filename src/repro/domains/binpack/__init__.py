@@ -24,6 +24,8 @@ from repro.domains.binpack.instance import (
 from repro.domains.binpack.optimal import (
     lower_bound,
     optimal_bin_count,
+    optimal_bin_counts,
+    optimal_packing,
     solve_optimal_packing,
 )
 
@@ -41,6 +43,8 @@ __all__ = [
     "first_fit_problem",
     "lower_bound",
     "optimal_bin_count",
+    "optimal_bin_counts",
+    "optimal_packing",
     "solve_optimal_packing",
     "vbp4_adversarial_sizes",
     "vbp_flows_for_result",

@@ -29,19 +29,18 @@ from repro.analyzer.interface import (
     GapSamples,
 )
 from repro.domains.binpack.dsl_model import build_vbp_graph, vbp_flows_for_result
-from repro.domains.binpack.heuristics import first_fit, first_fit_batch
+from repro.domains.binpack.heuristics import (
+    ORACLE_FIT_TOL,
+    first_fit,
+    first_fit_batch,
+)
 from repro.domains.binpack.instance import VbpInstance
-from repro.domains.binpack.optimal import solve_optimal_packing
+from repro.domains.binpack.optimal import optimal_bin_counts, optimal_packing
 from repro.solver import Model, VarType, quicksum
 from repro.subspace.region import Box
 
 #: Strict-side margin of the fit indicator (absolute, bin capacity units).
 FIT_EPS = 1e-4
-
-#: Fit tolerance of the gap oracle's FF simulation: matches the MILP
-#: solver's feasibility tolerance, so a "fits" verdict at the boundary is
-#: decided the same way by the encoding and the oracle.
-ORACLE_FIT_TOL = 1e-6
 
 
 def build_ff_encoding(
@@ -204,10 +203,11 @@ def build_ff_encoding(
 class FfBatchOracle:
     """Native batched ``FF(Y) - OPT(Y)`` oracle.
 
-    The First Fit side is fully vectorized over the batch
-    (:func:`~repro.domains.binpack.heuristics.first_fit_batch`, bit-identical
-    to the scalar simulation); the optimal side still needs one MILP per
-    point, so the engine's memoizing cache carries the re-sampled overlap.
+    Both sides are vectorized over the batch: First Fit by
+    :func:`~repro.domains.binpack.heuristics.first_fit_batch` (bit-identical
+    to the scalar simulation), OPT by canonical-assignment enumeration
+    (:func:`~repro.domains.binpack.optimal.optimal_bin_counts`, one MILP
+    per point only above the enumeration cap).
     """
 
     def __init__(self, template: VbpInstance, capacity: float) -> None:
@@ -222,12 +222,7 @@ class FfBatchOracle:
             num_bins=self.template.num_bins,
             tol=ORACLE_FIT_TOL,
         )
-        opt_bins = np.array(
-            [
-                solve_optimal_packing(self.template.with_sizes(x)).bins_used
-                for x in xs
-            ]
-        )
+        opt_bins = optimal_bin_counts(xs, self.template)
         return GapSamples(
             xs,
             benchmark_values=-opt_bins.astype(float),
@@ -263,7 +258,7 @@ def first_fit_problem(
     def evaluate(x: np.ndarray) -> GapSample:
         instance = template.with_sizes(np.asarray(x, dtype=float))
         ff = first_fit(instance, tol=ORACLE_FIT_TOL)
-        opt = solve_optimal_packing(instance)
+        opt = optimal_packing(instance)
         return GapSample(
             x=np.asarray(x, dtype=float),
             benchmark_value=-float(opt.bins_used),
@@ -284,7 +279,7 @@ def first_fit_problem(
     def benchmark_flows(x: np.ndarray):
         instance = template.with_sizes(np.asarray(x, dtype=float))
         return vbp_flows_for_result(
-            graph, instance, solve_optimal_packing(instance)
+            graph, instance, optimal_packing(instance)
         )
 
     def total_volume(x: np.ndarray) -> float:

@@ -12,6 +12,13 @@ import numpy as np
 
 from repro.domains.binpack.instance import PackingResult, VbpInstance
 
+#: Fit tolerance of the gap oracle's FF simulation: matches the MILP
+#: solver's feasibility tolerance, so a "fits" verdict at the boundary is
+#: decided the same way by the encoding and the oracle. The exact optimum
+#: (:func:`~repro.domains.binpack.optimal.optimal_packing`) applies the
+#: same test, so OPT never exceeds FF.
+ORACLE_FIT_TOL = 1e-6
+
 
 def _fits(load: np.ndarray, ball: np.ndarray, capacity: np.ndarray, tol: float) -> bool:
     return bool(np.all(load + ball <= capacity + tol))

@@ -1,17 +1,23 @@
-"""Optimal bin packing (the VBP benchmark): assignment MILP.
+"""Optimal bin packing (the VBP benchmark).
 
 Minimize the number of used bins subject to every ball being placed and
-per-bin capacity in every dimension. Small instances go through the
-built-in branch-and-bound; larger ones use SciPy/HiGHS.
+per-bin capacity in every dimension. :func:`optimal_packing` and
+:func:`optimal_bin_counts` are the pipeline's optimum: canonical-assignment
+enumeration (:mod:`repro.solver.assignment`) with First Fit's own fit test
+under the enumeration cap, and the assignment MILP of
+:func:`solve_optimal_packing` (SciPy/HiGHS) above it. The MILP stays
+public as the reference path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.domains.binpack.heuristics import ORACLE_FIT_TOL
 from repro.domains.binpack.instance import PackingResult, VbpInstance
 from repro.exceptions import AnalyzerError
 from repro.solver import Model, SolveStatus, VarType, quicksum
+from repro.solver.assignment import min_bins
 
 
 def solve_optimal_packing(
@@ -64,6 +70,40 @@ def solve_optimal_packing(
         if solution.values[var] > 0.5:
             assignment[i] = j
     return PackingResult(assignment, feasible=True, algorithm="optimal")
+
+
+def _enumerated(sizes: np.ndarray, instance: VbpInstance):
+    """:func:`min_bins` of ``sizes`` (shape (B, n, d)) in ``instance``'s
+    bins with First Fit's fit test; ``None`` above the enumeration cap."""
+    found = min_bins(
+        sizes, instance.capacity_array, instance.num_bins, ORACLE_FIT_TOL
+    )
+    if found is not None and np.any(found[1] < 0):
+        raise AnalyzerError(
+            "optimal packing failed: infeasible (instance may need more bins)"
+        )
+    return found
+
+
+def optimal_packing(instance: VbpInstance) -> PackingResult:
+    """A minimum-bin packing: the lexicographically smallest canonical one
+    under the enumeration cap, the MILP's above it."""
+    found = _enumerated(instance.size_array[None], instance)
+    if found is None:
+        return solve_optimal_packing(instance)
+    return PackingResult(found[0][0].tolist(), feasible=True, algorithm="optimal")
+
+
+def optimal_bin_counts(sizes: np.ndarray, template: VbpInstance) -> np.ndarray:
+    """Minimum bin count of each row of ``sizes`` (one-dimensional balls,
+    shape (B, n)) in ``template``'s bins."""
+    sizes = np.atleast_2d(np.asarray(sizes, dtype=float))
+    found = _enumerated(sizes[:, :, None], template)
+    if found is not None:
+        return found[1]
+    return np.array(
+        [solve_optimal_packing(template.with_sizes(x)).bins_used for x in sizes]
+    )
 
 
 def optimal_bin_count(instance: VbpInstance, backend: str = "scipy") -> int:

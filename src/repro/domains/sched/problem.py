@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analyzer.interface import AnalyzedProblem, GapSample
+from repro.analyzer.interface import AnalyzedProblem, GapSample, GapSamples
 from repro.domains.sched.dsl_model import (
     build_sched_graph,
     sched_flows_for_schedule,
 )
-from repro.domains.sched.heuristics import list_scheduling
+from repro.domains.sched.heuristics import (
+    list_scheduling,
+    list_scheduling_batch,
+)
 from repro.domains.sched.instance import SchedInstance
-from repro.domains.sched.optimal import solve_optimal_schedule
+from repro.domains.sched.optimal import optimal_makespans, optimal_schedule
 from repro.subspace.region import Box
 
 
@@ -39,11 +42,22 @@ def list_scheduling_problem(
     def evaluate(x: np.ndarray) -> GapSample:
         instance = template.with_durations(x)
         heuristic = list_scheduling(instance)
-        optimal = solve_optimal_schedule(instance)
+        optimal = optimal_schedule(instance)
         return GapSample(
             x=np.asarray(x, dtype=float),
             benchmark_value=-optimal.makespan(instance),
             heuristic_value=-heuristic.makespan(instance),
+        )
+
+    def evaluate_batch(xs: np.ndarray) -> GapSamples:
+        # Bit-identical to ``evaluate`` row by row: both sides accumulate
+        # machine loads in job order.
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        _, heuristic = list_scheduling_batch(xs, num_machines)
+        return GapSamples(
+            xs,
+            benchmark_values=-optimal_makespans(xs, num_machines),
+            heuristic_values=-heuristic,
         )
 
     graph = build_sched_graph(
@@ -59,7 +73,7 @@ def list_scheduling_problem(
     def benchmark_flows(x: np.ndarray):
         instance = template.with_durations(x)
         return sched_flows_for_schedule(
-            graph, instance, solve_optimal_schedule(instance)
+            graph, instance, optimal_schedule(instance)
         )
 
     def longest_job(x: np.ndarray) -> float:
@@ -86,6 +100,7 @@ def list_scheduling_problem(
             np.zeros(num_jobs), np.full(num_jobs, max_duration)
         ),
         evaluate=evaluate,
+        evaluate_batch=evaluate_batch,
         graph=graph,
         exact_model=None,  # black-box analyzer path by design
         heuristic_flows=heuristic_flows,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import GeneralizeError
 
@@ -43,6 +42,8 @@ def monotone_test(
     feature_values: np.ndarray, gaps: np.ndarray, direction: str
 ) -> MonotoneEvidence:
     """One-sided Kendall test that gap is monotone in the feature."""
+    from scipy import stats
+
     feature_values = np.asarray(feature_values, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     if feature_values.shape != gaps.shape:
@@ -96,6 +97,8 @@ def threshold_test(
     The split is chosen on medians of candidate quantiles; Mann-Whitney U
     then tests whether gaps differ across it.
     """
+    from scipy import stats
+
     feature_values = np.asarray(feature_values, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     if len(feature_values) < 10:

@@ -7,7 +7,11 @@ with a low p-value (less than 0.05) as adversarial. We use the Wilcoxon
 signed-rank test, which allows for dependent samples."
 
 Both SciPy's exact/approximate test and a from-scratch normal-approximation
-implementation are provided; tests cross-check the two.
+implementation are provided; tests cross-check the two. The SciPy method
+answers one case itself: with at most 13 pairs and a tie or zero among the
+differences, ``scipy.stats.wilcoxon`` runs a permutation test over all
+2^n sign flips, and :func:`_sign_flip_wilcoxon` counts the same sign
+patterns by subset sum instead — the same p-value, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import SubspaceError
 
@@ -80,11 +83,7 @@ def wilcoxon_signed_rank(
             alpha=alpha,
         )
     if method == "scipy":
-        stat, p_value = stats.wilcoxon(
-            differences, alternative="greater", zero_method="wilcox"
-        )
-        statistic = float(stat)
-        p = float(p_value)
+        statistic, p = _scipy_wilcoxon(differences)
     elif method == "builtin":
         statistic, p = _wilcoxon_normal_approx(differences)
     else:
@@ -97,6 +96,53 @@ def wilcoxon_signed_rank(
         pairs=int(inside.size),
         alpha=alpha,
     )
+
+
+def _scipy_wilcoxon(differences: np.ndarray) -> tuple[float, float]:
+    """``scipy.stats.wilcoxon(d, alternative="greater")`` as (statistic, p).
+
+    The case SciPy serves with a permutation test (n <= 13 with ties or
+    zeros) is counted exactly by :func:`_sign_flip_wilcoxon`.
+    """
+    magnitudes = np.abs(differences[differences != 0.0])
+    if (
+        differences.size <= 13
+        and np.all(np.isfinite(differences))
+        and (
+            magnitudes.size < differences.size
+            or np.unique(magnitudes).size < magnitudes.size
+        )
+    ):
+        return _sign_flip_wilcoxon(differences)
+    from scipy import stats
+
+    stat, p_value = stats.wilcoxon(
+        differences, alternative="greater", zero_method="wilcox"
+    )
+    return float(stat), float(p_value)
+
+
+def _sign_flip_wilcoxon(differences: np.ndarray) -> tuple[float, float]:
+    """Exact one-sided signed-rank test over all sign flips.
+
+    Zeros are dropped (Wilcoxon's convention); flipping one changes
+    nothing, so the p-value is the share of the 2^k sign patterns of the k
+    nonzero differences whose positive-rank sum reaches the observed one.
+    Doubled midranks are integers, so a subset-sum table counts those
+    patterns exactly.
+    """
+    d = differences[differences != 0.0]
+    _, inverse, counts = np.unique(
+        np.abs(d), return_inverse=True, return_counts=True
+    )
+    # Doubled midrank of a tie group: 2 * (ranks before it) + size + 1.
+    doubled = (2 * (np.cumsum(counts) - counts) + counts + 1)[inverse]
+    observed = int(doubled[d > 0].sum())
+    ways = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
+    ways[0] = 1
+    for rank in doubled:
+        ways[rank:] = ways[rank:] + ways[: ways.size - rank]
+    return observed / 2.0, float(ways[observed:].sum() / 2.0 ** d.size)
 
 
 def _wilcoxon_normal_approx(differences: np.ndarray) -> tuple[float, float]:

@@ -1,10 +1,15 @@
 """The domain plugin registry: discovery, resolution, round trips, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import XPlain, XPlainConfig
 from repro.cli import build_parser, main
 from repro.domains.registry import (
@@ -131,6 +136,30 @@ class TestRoundTrip:
         assert report.worst_gap >= 0
         for explained in report.explained:
             assert explained.heatmap.num_samples > 0
+
+
+def test_building_smoke_problems_leaves_scipy_stats_unimported():
+    """Start-up stays light: discovering the registry and building every
+    domain's smoke problem must not import ``scipy.stats`` (about a second
+    per process), which only the significance checker and the
+    generalizer's statistical tests need."""
+    code = (
+        "import sys\n"
+        "from repro.domains.registry import registry\n"
+        "for plugin in registry().plugins():\n"
+        "    plugin.smoke_spec().build()\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestSpecErrors:

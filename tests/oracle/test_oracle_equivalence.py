@@ -10,6 +10,7 @@ from repro.analyzer import (
     GapSamples,
 )
 from repro.domains.binpack import first_fit_problem
+from repro.domains.sched import list_scheduling_problem
 from repro.domains.te import (
     build_demand_set,
     demand_pinning_problem,
@@ -76,6 +77,22 @@ class TestBatchedScalarEquivalence:
         )
         batched = ff_problem.evaluate_batch(points).gaps
         assert np.array_equal(batched, reference)
+
+    @pytest.mark.parametrize("jobs, machines", [(3, 2), (6, 3), (8, 3)])
+    def test_sched_batched_matches_raw_scalar(self, jobs, machines):
+        """Vectorized list scheduling + enumerated optimum equal the
+        scalar oracle bit for bit, on both sides of the gap."""
+        problem = list_scheduling_problem(jobs, machines)
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0.0, 1.0, size=(40, problem.dim))
+        scalar = [problem.evaluate(x) for x in points]
+        batched = problem.evaluate_batch(points)
+        assert np.array_equal(
+            batched.benchmark_values, [s.benchmark_value for s in scalar]
+        )
+        assert np.array_equal(
+            batched.heuristic_values, [s.heuristic_value for s in scalar]
+        )
 
     def test_binpack_feasibility_flags_match(self, ff_problem):
         rng = np.random.default_rng(3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -159,6 +159,28 @@ class TestWilcoxon:
         outside = np.linspace(0, 1, 12)
         result = wilcoxon_signed_rank(inside, outside, method="builtin")
         assert 0.0 <= result.p_value <= 1.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]),
+            min_size=5,
+            max_size=13,
+        ),
+        st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    def test_sign_flip_path_equals_scipy(self, values, scale):
+        """Small pools with ties or zeros, which SciPy answers with a
+        permutation test: the subset-sum count gives the same p-value
+        and statistic, bit for bit."""
+        differences = np.array(values) * scale
+        assume(not np.allclose(differences, 0.0))
+        result = wilcoxon_signed_rank(differences, np.zeros_like(differences))
+        reference = stats.wilcoxon(
+            differences, alternative="greater", zero_method="wilcox"
+        )
+        assert result.p_value == float(reference.pvalue)
+        assert result.statistic == float(reference.statistic)
 
     def test_describe_mentions_verdict(self):
         rng = np.random.default_rng(3)
