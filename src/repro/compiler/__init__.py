@@ -11,13 +11,12 @@
 from repro.compiler.compile import (
     CompiledModel,
     compile_graph,
-    objective_value,
     solve_graph,
 )
 from repro.compiler.lowering import lower_graph
 from repro.compiler.milp_to_dsl import EncodedProblem, encode_and_solve, encode_model
 from repro.compiler.rewrite import RewriteStats, rewrite_graph
-from repro.compiler.varmap import VarMap, flows_by_name
+from repro.compiler.varmap import VarMap
 
 __all__ = [
     "CompiledModel",
@@ -27,9 +26,7 @@ __all__ = [
     "compile_graph",
     "encode_and_solve",
     "encode_model",
-    "flows_by_name",
     "lower_graph",
-    "objective_value",
     "rewrite_graph",
     "solve_graph",
 ]

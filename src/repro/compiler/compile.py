@@ -15,7 +15,6 @@ from repro.compiler.lowering import lower_graph
 from repro.compiler.rewrite import RewriteStats, rewrite_graph
 from repro.compiler.varmap import EdgeKey, VarMap
 from repro.dsl.graph import FlowGraph
-from repro.exceptions import CompilerError
 from repro.solver.model import Model
 from repro.solver.presolve import PresolveResult, presolve
 from repro.solver.solution import Solution, SolveStatus
@@ -88,23 +87,3 @@ def solve_graph(
     )
     solution = compiled.solve(backend=backend)
     return solution, compiled
-
-
-def objective_value(
-    graph: FlowGraph,
-    inputs: Mapping[str, float],
-    backend: str = "auto",
-) -> float:
-    """The graph's objective at the given inputs.
-
-    Raises :class:`CompilerError` when the instance is infeasible — callers
-    sampling input boxes are expected to stay inside declared input ranges,
-    so infeasibility indicates a modeling bug, not a bad sample.
-    """
-    solution, _ = solve_graph(graph, inputs=inputs, backend=backend)
-    if not solution.is_optimal:
-        raise CompilerError(
-            f"graph {graph.name!r} is {solution.status.value} at inputs {dict(inputs)!r}"
-        )
-    assert solution.objective is not None
-    return solution.objective

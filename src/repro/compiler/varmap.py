@@ -10,7 +10,6 @@ always read flows back in DSL terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.solver.expr import Variable
 from repro.solver.solution import Solution
@@ -70,8 +69,3 @@ class VarMap:
         merged.free_supply_vars.update(other.free_supply_vars)
         merged.pick_binaries.update(other.pick_binaries)
         return merged
-
-
-def flows_by_name(flows: Mapping[EdgeKey, float]) -> dict[str, float]:
-    """Render an edge-flow dict with 'src->dst' string keys (reporting)."""
-    return {f"{src}->{dst}": value for (src, dst), value in flows.items()}

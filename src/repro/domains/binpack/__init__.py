@@ -5,7 +5,6 @@ from repro.domains.binpack.analyzer_model import (
     first_fit_problem,
 )
 from repro.domains.binpack.dsl_model import (
-    assignment_from_flows,
     build_vbp_graph,
     vbp_flows_for_result,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "HEURISTICS",
     "PackingResult",
     "VbpInstance",
-    "assignment_from_flows",
     "best_fit",
     "build_ff_encoding",
     "build_vbp_graph",

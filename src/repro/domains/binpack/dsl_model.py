@@ -79,19 +79,3 @@ def vbp_flows_for_result(
         flows[(ball_node(i), bin_node(bin_index))] = float(sizes[i])
         flows[(bin_node(bin_index), OCCUPANCY)] += float(sizes[i])
     return flows
-
-
-def assignment_from_flows(
-    flows: dict[tuple[str, str], float],
-    num_balls: int,
-    num_bins: int,
-    tol: float = 1e-9,
-) -> list[int]:
-    """Invert :func:`vbp_flows_for_result` (used by graph-solving paths)."""
-    assignment = [-1] * num_balls
-    for i in range(num_balls):
-        for j in range(num_bins):
-            if flows.get((ball_node(i), bin_node(j)), 0.0) > tol:
-                assignment[i] = j
-                break
-    return assignment

@@ -268,12 +268,6 @@ def registry() -> DomainRegistry:
     return _REGISTRY
 
 
-def reset_registry() -> None:
-    """Drop the cached registry (tests that register throwaway plugins)."""
-    global _REGISTRY
-    _REGISTRY = None
-
-
 # ----------------------------------------------------------------------
 #: pipeline defaults of the generated smoke campaigns: one subspace,
 #: small sample pools — minutes of CI, not hours

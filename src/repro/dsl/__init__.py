@@ -8,7 +8,7 @@ their metadata.
 
 from repro.dsl.builder import FlowGraphBuilder
 from repro.dsl.concretize import GroupTracker, ParamSpec, ProblemTemplate
-from repro.dsl.graph import FlowGraph, merge_graphs
+from repro.dsl.graph import FlowGraph
 from repro.dsl.linq import Query, query
 from repro.dsl.nodes import Edge, InputSpec, Node, NodeKind, make_node
 
@@ -24,6 +24,5 @@ __all__ = [
     "ProblemTemplate",
     "Query",
     "make_node",
-    "merge_graphs",
     "query",
 ]

@@ -8,7 +8,7 @@ generalizer reads its metadata.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.dsl.nodes import Edge, InputSpec, Node, NodeKind, make_node
 from repro.exceptions import GraphValidationError
@@ -254,26 +254,3 @@ class FlowGraph:
             f"FlowGraph({self.name!r}, nodes={self.num_nodes}, "
             f"edges={self.num_edges})"
         )
-
-
-def merge_graphs(name: str, parts: Iterable[FlowGraph]) -> FlowGraph:
-    """Union of disjoint graphs (used to juxtapose heuristic and benchmark)."""
-    merged = FlowGraph(name)
-    for part in parts:
-        for node in part.nodes:
-            merged.add_node(
-                node.name,
-                *node.kinds,
-                multiplier=node.multiplier,
-                supply=node.supply,
-                metadata=dict(node.metadata),
-            )
-        for edge in part.edges:
-            merged.add_edge(
-                edge.src,
-                edge.dst,
-                capacity=edge.capacity,
-                fixed_rate=edge.fixed_rate,
-                metadata=dict(edge.metadata),
-            )
-    return merged

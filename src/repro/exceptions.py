@@ -16,19 +16,6 @@ class SolverError(ReproError):
     """Base class for errors raised by the LP/MILP solver substrate."""
 
 
-class InfeasibleError(SolverError):
-    """The model has no feasible solution.
-
-    Raised only by APIs documented to raise on infeasibility; the solver's
-    ``solve`` entry points normally report infeasibility through the solution
-    status instead.
-    """
-
-
-class UnboundedError(SolverError):
-    """The model's objective is unbounded in the optimization direction."""
-
-
 class ModelError(SolverError):
     """The model is malformed (e.g. a variable from another model was used)."""
 

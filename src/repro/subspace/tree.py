@@ -104,39 +104,114 @@ class RegressionTree:
         node.right = self._build(x[~mask], y[~mask], depth + 1)
         return node
 
-    def _best_split(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[int, float] | None:
+    def _best_split(self, x: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
+        """The first ``(feature, threshold)`` of maximal variance reduction.
+
+        Candidates run feature-major, threshold-minor. A split must leave
+        ``min_samples_leaf`` rows on each side and gain strictly more than
+        ``min_variance_decrease`` (the floor), where the gain of a threshold
+        is the exact formula of :meth:`_exact_gain` and the first maximum
+        wins.
+
+        One pass per feature screens all its candidates: with ``y`` centred
+        and sorted by the feature, prefix sums of ``yc`` and ``yc**2`` give
+        the left side's squared error as ``Q - S**2 / k`` and suffix sums
+        give the right side's. A sequential sum of ``k`` terms is off by at
+        most ``k * eps`` of its absolute sum, so a screened gain lies within
+        about ``4 * n * eps * base_var`` of the exact one; ``np.var`` rounds
+        its means, which biases each variance by at most
+        ``(n * eps)**2 * (base_var + mean**2)``. ``tol`` is more than twice
+        both. Every candidate whose screened gain is within ``tol`` of
+        ``max(best screened gain, floor)``, or is not finite, is re-scored
+        exactly in candidate order. The exact winner is always among them,
+        so the choice is bit-identical to scoring every candidate exactly,
+        while about one candidate per node is. Memory is O(n) per feature.
+        """
         n = len(y)
         base_var = float(np.var(y))
-        best_gain = self.min_variance_decrease
-        best: tuple[int, float] | None = None
-        for feature in range(x.shape[1]):
-            column = x[:, feature]
-            values = np.unique(column)
-            if len(values) < 2:
+        floor = self.min_variance_decrease
+        # An empty side has a NaN exact gain and can never win.
+        leaf = max(self.min_samples_leaf, 1)
+        n_eps = n * np.finfo(float).eps
+        mean = y.mean()
+        tol = max(1e-9, 16 * n_eps) * base_var + max(1e-12, 4 * (n_eps * mean) ** 2)
+        yc = y - mean
+        screened: list[tuple[int, np.ndarray, np.ndarray]] = []
+        for feature, candidates in enumerate(self._candidates(x)):
+            if candidates is None:
                 continue
-            if len(values) > self.max_candidate_splits:
-                qs = np.linspace(0, 1, self.max_candidate_splits + 2)[1:-1]
-                candidates = np.unique(np.quantile(column, qs))
-            else:
-                candidates = (values[:-1] + values[1:]) / 2.0
-            for threshold in candidates:
-                mask = column <= threshold
-                n_left = int(mask.sum())
-                if (
-                    n_left < self.min_samples_leaf
-                    or n - n_left < self.min_samples_leaf
-                ):
-                    continue
-                var_left = float(np.var(y[mask]))
-                var_right = float(np.var(y[~mask]))
-                weighted = (n_left * var_left + (n - n_left) * var_right) / n
-                gain = base_var - weighted
+            column = x[:, feature]
+            order = np.argsort(column, kind="stable")
+            # NaN sorts last, so a sorted prefix is ``column <= t``. A NaN
+            # threshold (no row is ``<= nan``) leaves the right side empty
+            # here instead of the left; both are dropped.
+            n_left = np.searchsorted(column[order], candidates, side="right")
+            keep = (n_left >= leaf) & (n - n_left >= leaf)
+            if not keep.any():
+                continue
+            candidates, n_left = candidates[keep], n_left[keep]
+            ys = yc[order]
+            squares = ys * ys
+            s_left, q_left = np.cumsum(ys)[n_left - 1], np.cumsum(squares)[n_left - 1]
+            right = n - 1 - n_left  # suffix sums, accumulated from the last row
+            s_right = np.cumsum(ys[::-1])[right]
+            q_right = np.cumsum(squares[::-1])[right]
+            sse_left = q_left - s_left**2 / n_left
+            sse_right = q_right - s_right**2 / (n - n_left)
+            gains = base_var - (sse_left + sse_right) / n
+            screened.append((feature, candidates, gains))
+        top = max(
+            (float(g[np.isfinite(g)].max(initial=-np.inf)) for _, _, g in screened),
+            default=-np.inf,
+        )
+        bar = max(top, floor) - tol
+        best_gain = floor
+        best: tuple[int, float] | None = None
+        for feature, candidates, gains in screened:
+            column = x[:, feature]
+            for threshold in candidates[(gains >= bar) | ~np.isfinite(gains)]:
+                gain = self._exact_gain(column, y, threshold, base_var)
                 if gain > best_gain:
                     best_gain = gain
                     best = (feature, float(threshold))
         return best
+
+    def _candidates(self, x: np.ndarray) -> list[np.ndarray | None]:
+        """Each feature's sorted candidate thresholds, None if constant.
+
+        Midpoints of the distinct values, or the distinct quantiles of a
+        ``max_candidate_splits`` grid for wider columns. The grid of all
+        wide columns is one ``np.quantile`` call along axis 0, which is
+        bitwise the per-column quantile.
+        """
+        values = [np.unique(x[:, feature]) for feature in range(x.shape[1])]
+        wide = [f for f, v in enumerate(values) if len(v) > self.max_candidate_splits]
+        grid: dict[int, np.ndarray] = {}
+        if wide:
+            qs = np.linspace(0, 1, self.max_candidate_splits + 2)[1:-1]
+            grid = dict(zip(wide, np.quantile(x[:, wide], qs, axis=0).T))
+        candidates: list[np.ndarray | None] = []
+        for feature, distinct in enumerate(values):
+            if len(distinct) < 2:
+                candidates.append(None)
+            elif feature in grid:
+                candidates.append(np.unique(grid[feature]))
+            else:
+                candidates.append((distinct[:-1] + distinct[1:]) / 2.0)
+        return candidates
+
+    @staticmethod
+    def _exact_gain(
+        column: np.ndarray, y: np.ndarray, threshold: float, base_var: float
+    ) -> float:
+        """``base_var`` minus the size-weighted variance of the two sides."""
+        n = len(y)
+        mask = column <= threshold
+        n_left = int(mask.sum())
+        var_left = float(np.var(y[mask]))
+        var_right = float(np.var(y[~mask]))
+        weighted = (n_left * var_left + (n - n_left) * var_right) / n
+        return base_var - weighted
 
     # -- inference -----------------------------------------------------------
     def _require_fit(self) -> _Node:
@@ -145,16 +220,24 @@ class RegressionTree:
         return self._root
 
     def predict_one(self, x: np.ndarray) -> float:
-        node = self._require_fit()
-        x = np.asarray(x, dtype=float)
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-            assert node is not None
-        return node.prediction
+        return float(self.predict(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Leaf predictions for every row, routed down the tree by masks."""
+        node = self._require_fit()
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.array([self.predict_one(row) for row in x])
+        out = np.empty(len(x))
+        pending = [(node, np.arange(len(x)))]
+        while pending:
+            node, rows = pending.pop()
+            if node.is_leaf:
+                out[rows] = node.prediction
+                continue
+            below = x[rows, node.feature] <= node.threshold
+            assert node.left is not None and node.right is not None
+            pending.append((node.left, rows[below]))
+            pending.append((node.right, rows[~below]))
+        return out
 
     def path_to(self, x: np.ndarray) -> list[TreePredicate]:
         """Root-to-leaf predicates for the leaf containing ``x`` (Fig. 5b)."""
@@ -214,9 +297,7 @@ class RegressionTree:
 
         def walk(node: _Node, indent: str) -> None:
             if node.is_leaf:
-                lines.append(
-                    f"{indent}gap = {node.prediction:.4g}  (n={node.count})"
-                )
+                lines.append(f"{indent}gap = {node.prediction:.4g}  (n={node.count})")
                 return
             name = self.feature_names[node.feature]
             lines.append(f"{indent}{name} <= {node.threshold:.4g}?")
@@ -227,8 +308,6 @@ class RegressionTree:
         return "\n".join(lines)
 
 
-def path_to_halfspaces(
-    path: list[TreePredicate], total_dims: int
-) -> list[Halfspace]:
+def path_to_halfspaces(path: list[TreePredicate], total_dims: int) -> list[Halfspace]:
     """Convert a raw-input tree path to Fig. 5c halfspace rows."""
     return [p.to_halfspace(total_dims) for p in path]
