@@ -20,7 +20,6 @@ from repro.generalize.instances import (
     GeneratedInstance,
     generate_instances,
     line_te_instance_generator,
-    te_instance_generator,
     vbp_instance_generator,
 )
 from repro.generalize.validate import (
@@ -51,7 +50,6 @@ __all__ = [
     "observe_across_instances",
     "observe_with_analyzer",
     "observe_within_instance",
-    "te_instance_generator",
     "threshold_test",
     "vbp_instance_generator",
 ]

@@ -9,8 +9,8 @@ that proprietary layer with a complete, self-contained stack:
 * :mod:`repro.solver.branch_and_bound` — best-first MILP search;
 * :mod:`repro.solver.presolve` — redundancy elimination with recovery maps
   (the engine behind the paper's compiled-DSL speedup claim);
-* :mod:`repro.solver.scipy_backend` — HiGHS via SciPy, used as the
-  cross-check oracle and the large-model fast path;
+* :mod:`repro.solver.scipy_backend` — HiGHS via SciPy, the default of
+  every production solve and the cross-check oracle;
 * :mod:`repro.solver.template` — parametric LP templates with basis
   warm-starting (the batched gap-oracle engine's solve substrate).
 """

@@ -5,7 +5,8 @@ itself to matrix form and to dispatch solving to a backend:
 
 * ``backend="simplex"`` — the from-scratch two-phase simplex (LP) plus
   branch-and-bound (MILP) implemented in this package;
-* ``backend="scipy"`` — ``scipy.optimize.linprog`` / ``milp`` (HiGHS);
+* ``backend="scipy"`` — HiGHS through SciPy: LPs via its bundled HiGHS
+  bindings, MILPs via ``scipy.optimize.milp``; every production default;
 * ``backend="auto"`` — simplex/B&B for small models, SciPy beyond a size
   threshold. Tests cross-check the two backends against each other.
 """

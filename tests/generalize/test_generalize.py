@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _te_instances import te_instance_generator
 
 from repro.exceptions import GeneralizeError
 from repro.generalize import (
@@ -16,7 +17,6 @@ from repro.generalize import (
     monotone_test,
     observe_across_instances,
     observe_within_instance,
-    te_instance_generator,
     threshold_test,
     vbp_instance_generator,
 )

@@ -164,3 +164,34 @@ class TestAgainstScipy:
         assert ours.status is SolveStatus.OPTIMAL
         assert scipy_sol.status is SolveStatus.OPTIMAL
         assert ours.objective == pytest.approx(scipy_sol.objective, abs=1e-6)
+
+    def test_scipy_incumbent_is_an_exact_vertex(self):
+        # HiGHS's incumbent has x = 0.4999995 and y = 2.5e-7; with y rounded
+        # to 0 that point misses x >= 0.5 by 5e-7 and the objective reads
+        # -0.999999. The continuous part is re-solved with y fixed.
+        m = Model(sense="max")
+        x = m.add_var("x", ub=4)
+        y = m.add_var("y", vartype="integer", ub=4)
+        z = m.add_var("z", vartype="integer", ub=4)
+        m.add_constraint(-2 * x + 4 * z - 4 * y <= -1)
+        m.add_constraint(x + y <= 4)
+        m.set_objective(-2 * x + z - 2 * y)
+        sol = m.solve(backend="scipy")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == -1.0
+        assert (sol[x], sol[y], sol[z]) == (0.5, 0.0, 0.0)
+
+    def test_scipy_presolve_solve_error_is_retried(self):
+        # HiGHS's MILP presolve stops this model with a solve error
+        # (scipy status 4); without presolve it solves at once.
+        m = Model(sense="max")
+        x = m.add_var("x", ub=4)
+        z = m.add_var("z", vartype="integer", ub=1)
+        y = m.add_var("y", vartype="integer", ub=4)
+        m.add_constraint(-2 * x + 5 * z - 3 * y <= -1)
+        m.set_objective(-2 * x + 3 * z - 2 * y)
+        sol = m.solve(backend="scipy")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(
+            m.solve(backend="simplex").objective, abs=1e-9
+        )
